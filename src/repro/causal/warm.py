@@ -26,13 +26,16 @@ handful of few-shot target rows.  Two observations make re-runs cheap:
 Both classes serialize to the flat ``{name: ndarray}`` + ``__meta__`` layout
 of the estimator protocol, so the warm state rides inside v2 artifact
 bundles (``allow_pickle=False``) and a daemon-triggered refit can warm-start
-from disk.
+from disk.  The cache packs each entry family into one byte blob, so a warm
+state adds a fixed number of members to a bundle however many conditioning
+tuples it caches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
@@ -44,8 +47,12 @@ from repro.utils.errors import ValidationError
 if TYPE_CHECKING:  # circular at runtime: fnode imports this module
     from repro.causal.fnode import FNodeResult
 
-#: bump when the serialized layout changes
-WARM_STATE_VERSION = 1
+#: bump when the serialized layout changes (2: packed entry blobs)
+WARM_STATE_VERSION = 2
+
+#: every entry in a packed blob starts at a multiple of this many bytes,
+#: so the typed views :func:`_unpack` hands back are aligned
+_PACK_ALIGN = 8
 
 
 def matrix_fingerprint(X) -> str:
@@ -70,6 +77,53 @@ def _encode_meta(obj) -> np.ndarray:
 
 def _decode_meta(arr) -> dict:
     return json.loads(bytes(np.asarray(arr, dtype=np.uint8).tobytes()).decode("utf-8"))
+
+
+def _spans(layout):
+    """Yield ``(dtype, shape, start, stop)`` byte spans of a packed layout."""
+    offset = 0
+    for dtype_str, shape in layout:
+        dtype = np.dtype(dtype_str)
+        shape = tuple(int(n) for n in shape)
+        start = -(-offset // _PACK_ALIGN) * _PACK_ALIGN
+        offset = start + dtype.itemsize * math.prod(shape)
+        yield dtype, shape, start, offset
+
+
+def _pack(arrays) -> tuple[np.ndarray, list]:
+    """Copy ``arrays`` into one ``uint8`` blob; returns ``(blob, layout)``.
+
+    ``layout`` lists ``[dtype.str, shape]`` per entry (JSON-ready); entry
+    bytes are in C order at :data:`_PACK_ALIGN`-aligned offsets.
+    """
+    layout = [[arr.dtype.str, list(arr.shape)] for arr in arrays]
+    spans = list(_spans(layout))
+    blob = np.zeros(spans[-1][3] if spans else 0, dtype=np.uint8)
+    for arr, (dtype, shape, start, stop) in zip(arrays, spans):
+        blob[start:stop].view(dtype).reshape(shape)[...] = arr
+    return blob, layout
+
+
+def _unpack(blob, layout) -> list[np.ndarray]:
+    """Read-only typed views into ``blob``, one per ``layout`` entry."""
+    blob = np.asarray(blob)
+    if blob.dtype != np.uint8 or blob.ndim != 1:
+        raise ValidationError("packed warm-cache blob must be 1-D uint8")
+    spans = list(_spans(layout))
+    size = spans[-1][3] if spans else 0
+    if size != blob.size:
+        raise ValidationError(
+            f"packed warm-cache blob holds {blob.size} bytes, its layout "
+            f"describes {size}"
+        )
+    out = []
+    for dtype, shape, start, stop in spans:
+        if dtype.kind not in "biufc":
+            raise ValidationError(f"packed warm-cache entry has dtype {dtype}")
+        view = blob[start:stop].view(dtype).reshape(shape)
+        view.flags.writeable = False
+        out.append(view)
+    return out
 
 
 class CIStatCache:
@@ -181,6 +235,10 @@ class CIStatCache:
     def state_dict(self, *, include_residuals: bool = False) -> dict[str, np.ndarray]:
         """Flat ``{name: ndarray}`` + ``__meta__`` snapshot of the cache.
 
+        Each entry family (factors, betas, residuals) is packed into one
+        ``uint8`` blob whose per-entry dtype and shape live in ``__meta__``,
+        so the snapshot has four members however many tuples are cached.
+
         Residuals are excluded by default: they are cheap to recompute (one
         matvec) and dominate the byte size, so artifacts stay small while a
         warm-from-disk run still skips every factorization and solve.
@@ -192,6 +250,11 @@ class CIStatCache:
             if include_residuals
             else []
         )
+        factors, factor_layout = _pack([self.factors[c][0] for c in factor_cols])
+        betas, beta_layout = _pack([self.betas[c][j] for c, j in beta_keys])
+        residuals, residual_layout = _pack(
+            [self.residuals[c][j] for c, j in res_keys]
+        )
         meta = {
             "version": WARM_STATE_VERSION,
             "ridge": self.ridge,
@@ -200,20 +263,26 @@ class CIStatCache:
             "invalidations": int(self.invalidations),
             "factor_cols": [list(c) for c in factor_cols],
             "factor_lower": [bool(self.factors[c][1]) for c in factor_cols],
+            "factor_layout": factor_layout,
             "beta_keys": [[list(c), int(j)] for c, j in beta_keys],
+            "beta_layout": beta_layout,
             "residual_keys": [[list(c), int(j)] for c, j in res_keys],
+            "residual_layout": residual_layout,
         }
-        state: dict[str, np.ndarray] = {"__meta__": _encode_meta(meta)}
-        for i, cols in enumerate(factor_cols):
-            state[f"factor.{i}"] = np.ascontiguousarray(self.factors[cols][0])
-        for i, (cols, j) in enumerate(beta_keys):
-            state[f"beta.{i}"] = np.ascontiguousarray(self.betas[cols][j])
-        for i, (cols, j) in enumerate(res_keys):
-            state[f"residual.{i}"] = np.ascontiguousarray(self.residuals[cols][j])
-        return state
+        return {
+            "__meta__": _encode_meta(meta),
+            "factors": factors,
+            "betas": betas,
+            "residuals": residuals,
+        }
 
     @classmethod
     def from_state(cls, state: dict) -> "CIStatCache":
+        """Rebuild a cache from :meth:`state_dict` output.
+
+        Entries are read-only views into the packed blobs, so a restored
+        cache holds its bytes once.
+        """
         meta = _decode_meta(state["__meta__"])
         if meta.get("version") != WARM_STATE_VERSION:
             raise ValidationError(
@@ -225,18 +294,17 @@ class CIStatCache:
             source_fingerprint=meta["source_fingerprint"],
         )
         cache.invalidations = int(meta.get("invalidations", 0))
-        for i, (cols, lower) in enumerate(
-            zip(meta["factor_cols"], meta["factor_lower"])
+        factors = _unpack(state["factors"], meta["factor_layout"])
+        for cols, lower, factor in zip(
+            meta["factor_cols"], meta["factor_lower"], factors, strict=True
         ):
-            cache.factors[tuple(cols)] = (np.array(state[f"factor.{i}"]), bool(lower))
-        for i, (cols, j) in enumerate(meta["beta_keys"]):
-            cache.betas.setdefault(tuple(cols), {})[int(j)] = np.array(
-                state[f"beta.{i}"]
-            )
-        for i, (cols, j) in enumerate(meta.get("residual_keys", [])):
-            cache.residuals.setdefault(tuple(cols), {})[int(j)] = np.array(
-                state[f"residual.{i}"]
-            )
+            cache.factors[tuple(cols)] = (factor, bool(lower))
+        betas = _unpack(state["betas"], meta["beta_layout"])
+        for (cols, j), beta in zip(meta["beta_keys"], betas, strict=True):
+            cache.betas.setdefault(tuple(cols), {})[int(j)] = beta
+        residuals = _unpack(state["residuals"], meta["residual_layout"])
+        for (cols, j), res in zip(meta["residual_keys"], residuals, strict=True):
+            cache.residuals.setdefault(tuple(cols), {})[int(j)] = res
         return cache
 
 

@@ -484,8 +484,9 @@ def _dispatch(args, preset) -> int:
             )
         if sep.warm_state_ is None:
             raise SystemExit(
-                "repro rediscover: artifact has no persisted warm state "
-                "(it predates warm-start support — refit once to capture one)"
+                "repro rediscover: artifact has no readable warm state (it "
+                "predates warm-start support or this build's warm-state "
+                "version — refit once to capture one)"
             )
         Xs = read_input(args.source)
         Xt = read_input(args.target)

@@ -16,9 +16,12 @@ from repro.causal.warm import WarmState
 from repro.core.config import FSConfig
 from repro.core.estimator import Estimator, decode_json, encode_json, register_estimator
 from repro.obs.export import get_event_log
+from repro.obs.logging import get_logger
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_array, check_is_fitted, mark_validated
+
+logger = get_logger("repro.core.feature_separation")
 
 
 @register_estimator("feature_separator")
@@ -100,7 +103,12 @@ class FeatureSeparator(Estimator):
                 for name, arr in state.items()
                 if name.startswith(prefix)
             }
-            self.warm_state_ = WarmState.from_state(warm_state)
+            try:
+                self.warm_state_ = WarmState.from_state(warm_state)
+            except ValidationError as exc:
+                # the warm state only speeds the next rediscovery up; one
+                # this build cannot read is dropped and that run goes cold
+                logger.warning("discarding unreadable warm state: %s", exc)
         return self
 
     @classmethod

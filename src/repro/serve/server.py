@@ -60,22 +60,37 @@ logger = get_logger("repro.serve.server")
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the owning daemon's batcher/cache."""
+    """Routes requests to the owning daemon's batcher/cache.
+
+    Responses leave as one write on a ``TCP_NODELAY`` socket: a header
+    send followed by a body send with Nagle on holds the body until the
+    client's delayed ACK (~40 ms) on a keep-alive connection.
+    """
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     @property
     def daemon(self):
         return self.server.serve_daemon
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """Send status line, headers and body in a single write."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
+        # end_headers() + flush_headers() would send the header block on
+        # its own; join it with the body (HTTP/0.9 gets the body alone)
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            body = b"".join(self._headers_buffer) + body
+            self._headers_buffer = []
         self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        self._send(status, "application/json",
+                   json.dumps(payload).encode("utf-8"))
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
@@ -100,12 +115,7 @@ class _Handler(BaseHTTPRequestHandler):
                 render_prometheus,
             )
 
-            body = render_prometheus().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, CONTENT_TYPE, render_prometheus().encode("utf-8"))
         else:
             self._send_error_json(404, f"no route for GET {path}")
 
@@ -183,8 +193,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(500, f"{type(exc).__name__}: {exc}")
             return
         codes = np.argmax(proba, axis=1)
-        plan = self.daemon.cache.get(tenant).plan
-        classes = getattr(plan.model, "classes_", None)
+        classes = pending.classes
         labels = classes[codes] if classes is not None else codes
         self._send_json(200, {
             "tenant": tenant,

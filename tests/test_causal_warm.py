@@ -5,8 +5,14 @@ serialized :class:`WarmState`, :meth:`FNodeDiscovery.rediscover` in both
 ``exact`` and ``confirm`` modes against the cold baseline across every
 fan-out path, the guard-mismatch cold fallbacks, the ``fs.cache.*`` metric
 export, the intra-level wall-clock deadline fix, the deduplicated
-:func:`ks_pvalue` tails, and the ``--warm`` benchmark runner + oracle.
+:func:`ks_pvalue` tails, the ``--warm`` benchmark runner + oracle, the
+packed artifact layout of the cache (bit-identical round trips, a member
+count that does not grow with the cache, content-hash coverage) and the
+cold fallback for a warm block of an older version.
 """
+
+import logging
+import zipfile
 
 import numpy as np
 import pytest
@@ -20,11 +26,18 @@ from repro.causal import (
 )
 from repro.causal.ci_tests import KS_PVALUE_MODES, ks_pvalue
 from repro.causal.engine import DEADLINE_CHUNK, CIEngine
+from repro.core.artifacts import (
+    _MANIFEST_KEY,
+    _content_hash,
+    load_artifact,
+    save_artifact,
+)
 from repro.core.config import FSConfig
+from repro.core.estimator import decode_json, encode_json
 from repro.core.feature_separation import FeatureSeparator
 from repro.experiments.bench import check_fs_record, make_wide_pair, run_bench_warm
 from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.utils.errors import ConfigurationError, ValidationError
+from repro.utils.errors import ArtifactError, ConfigurationError, ValidationError
 
 WIDTH = 39
 
@@ -366,3 +379,219 @@ class TestBenchWarm:
 
         text = format_bench_warm([record])
         assert "Warm-start" in text and "yes" in text
+
+
+def _assert_same_bytes(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _rewrite_bundle(path, out, arrays_update, *, rehash=True):
+    """Rewrite a bundle's members; optionally recompute its content hash."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    manifest = decode_json(arrays.pop(_MANIFEST_KEY))
+    arrays = arrays_update(arrays)
+    if rehash:
+        manifest["content_hash"] = _content_hash(arrays)
+    arrays[_MANIFEST_KEY] = encode_json(manifest)
+    np.savez_compressed(out, **arrays)
+    return out
+
+
+def _v1_warm_block(warm: WarmState) -> dict:
+    """A warm block in the version-1 layout: one member per factor/beta."""
+    state = warm.state_dict()
+    block = {k: v for k, v in state.items() if not k.startswith("cache.")}
+    meta = decode_json(state["__meta__"])
+    meta["version"] = 1
+    block["__meta__"] = encode_json(meta)
+    cache = warm.cache
+    factor_cols = sorted(cache.factors)
+    beta_keys = sorted((c, j) for c, per in cache.betas.items() for j in per)
+    block["cache.__meta__"] = encode_json({
+        "version": 1,
+        "ridge": cache.ridge,
+        "stats_dtype": cache.stats_dtype,
+        "source_fingerprint": cache.source_fingerprint,
+        "invalidations": 0,
+        "factor_cols": [list(c) for c in factor_cols],
+        "factor_lower": [bool(cache.factors[c][1]) for c in factor_cols],
+        "beta_keys": [[list(c), int(j)] for c, j in beta_keys],
+        "residual_keys": [],
+    })
+    for i, cols in enumerate(factor_cols):
+        block[f"cache.factor.{i}"] = np.ascontiguousarray(cache.factors[cols][0])
+    for i, (cols, j) in enumerate(beta_keys):
+        block[f"cache.beta.{i}"] = np.ascontiguousarray(cache.betas[cols][j])
+    return block
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+class TestPackedLayout:
+    @pytest.mark.parametrize("stats_dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("include_residuals", [False, True])
+    def test_entries_round_trip_bit_identical(self, pair, stats_dtype,
+                                              include_residuals):
+        Xs, Xt = pair
+        disc = FNodeDiscovery(stats_dtype=stats_dtype)
+        disc.discover(Xs, Xt[:72])
+        cache = disc.warm_state_.cache
+        assert cache.factors and cache.betas and cache.residuals
+        back = CIStatCache.from_state(
+            cache.state_dict(include_residuals=include_residuals))
+        assert back.matches(ridge=cache.ridge, stats_dtype=stats_dtype,
+                            source_fingerprint=cache.source_fingerprint)
+        assert set(back.factors) == set(cache.factors)
+        for cols, (factor, lower) in cache.factors.items():
+            _assert_same_bytes(back.factors[cols][0], np.ascontiguousarray(factor))
+            assert back.factors[cols][1] == lower
+        assert back.betas.keys() == cache.betas.keys()
+        for cols, per in cache.betas.items():
+            assert back.betas[cols].keys() == per.keys()
+            for j, beta in per.items():
+                _assert_same_bytes(back.betas[cols][j], beta)
+        if include_residuals:
+            assert back.residuals.keys() == cache.residuals.keys()
+            for cols, per in cache.residuals.items():
+                for j, res in per.items():
+                    _assert_same_bytes(back.residuals[cols][j], res)
+        else:
+            assert back.residuals == {}
+
+    def test_mixed_dtypes_come_back_aligned_and_read_only(self, rng):
+        cache = CIStatCache(ridge=1e-3, stats_dtype="float32",
+                            source_fingerprint="fp")
+        cache.put_factor((0,), (rng.standard_normal((2, 2)).astype(np.float32), True))
+        cache.put_factor((1,), (rng.standard_normal((3, 3)), False))
+        cache.put_factor((2,), (np.asfortranarray(rng.standard_normal((2, 2))), True))
+        cache.put_beta((0,), 5, rng.standard_normal(3).astype(np.float32))
+        cache.put_beta((1,), 5, rng.standard_normal(1))
+        cache.put_beta((1,), 6, np.zeros(0))
+        state = cache.state_dict()
+        assert sorted(state) == ["__meta__", "betas", "factors", "residuals"]
+        back = CIStatCache.from_state(state)
+        for cols, (factor, _) in cache.factors.items():
+            got = back.factors[cols][0]
+            _assert_same_bytes(got, np.ascontiguousarray(factor))
+            assert got.flags.aligned and not got.flags.writeable
+        for cols, per in cache.betas.items():
+            for j, beta in per.items():
+                _assert_same_bytes(back.betas[cols][j], beta)
+
+    def test_blob_layout_mismatch_rejected(self, rng):
+        cache = CIStatCache(ridge=1e-3, stats_dtype="float64",
+                            source_fingerprint="fp")
+        cache.put_beta((0,), 1, rng.standard_normal(2))
+        state = cache.state_dict()
+        state["betas"] = state["betas"][:-1]
+        with pytest.raises(ValidationError, match="layout"):
+            CIStatCache.from_state(state)
+
+    def test_member_count_does_not_grow_with_the_cache(self, tmp_path):
+        config = FSConfig(max_parents=6, max_cond_size=3, min_correlation=0.1,
+                          prune_k=3, prune_exact=True, stats_dtype="float32",
+                          n_jobs=1)
+        members, factors = {}, {}
+        for width in (WIDTH, 442):
+            Xs, Xt = make_wide_pair(width, n_source=240, n_target=96,
+                                    random_state=3)
+            sep = FeatureSeparator(config).fit(Xs, Xt)
+            path = save_artifact(sep, tmp_path / f"w{width}.npz")
+            with zipfile.ZipFile(path) as zf:
+                members[width] = len(zf.namelist())
+            factors[width] = len(sep.warm_state_.cache.factors)
+        # one member per factor (the version-1 layout) would exceed 64
+        assert factors[442] > 64
+        assert factors[442] > factors[WIDTH]
+        assert members[442] == members[WIDTH]
+        assert members[442] <= 64
+
+    @pytest.mark.parametrize("mode", ["exact", "confirm"])
+    def test_rediscover_from_disk_matches_in_memory(self, pair, tmp_path, mode):
+        Xs, Xt = pair
+        config = FSConfig(warm_mode=mode)
+        prior = FeatureSeparator(config).fit(Xs, Xt[:72])
+        path = save_artifact(prior, tmp_path / "sep.npz")
+        restored = load_artifact(path).estimator.warm_state_
+        in_memory = FeatureSeparator(config).fit(Xs, Xt, warm=prior.warm_state_)
+        from_disk = FeatureSeparator(config).fit(Xs, Xt, warm=restored)
+        assert from_disk.cache_stats_["warm_hits"] > 0
+        np.testing.assert_array_equal(from_disk.result_.variant_indices,
+                                      in_memory.result_.variant_indices)
+        assert (from_disk.result_.p_values.tobytes()
+                == in_memory.result_.p_values.tobytes())
+        assert from_disk.result_.n_tests == in_memory.result_.n_tests
+
+    def test_flipped_blob_byte_fails_content_hash(self, pair, tmp_path):
+        Xs, Xt = pair
+        path = save_artifact(FeatureSeparator().fit(Xs, Xt[:72]),
+                             tmp_path / "sep.npz")
+
+        def flip(arrays):
+            blob = arrays["warm.cache.factors"].copy()
+            blob[blob.size // 2] ^= 0xFF
+            arrays["warm.cache.factors"] = blob
+            return arrays
+
+        _rewrite_bundle(path, path, flip, rehash=False)
+        with pytest.raises(ArtifactError, match="content hash mismatch"):
+            load_artifact(path)
+
+
+class TestOldWarmBlock:
+    def test_version_1_block_serves_and_rediscovers_cold(self, tenant_root,
+                                                         tiny_5gc, tmp_path):
+        from repro.serve import PlanCache
+
+        root, names, X_test = tenant_root
+        name = names[0]
+        original = load_artifact(root / f"{name}.npz").estimator
+        prefix = "separator_.warm."
+        block = _v1_warm_block(original.separator_.warm_state_)
+
+        def downgrade(arrays):
+            arrays = {k: v for k, v in arrays.items() if not k.startswith(prefix)}
+            arrays.update({prefix + k: v for k, v in block.items()})
+            return arrays
+
+        _rewrite_bundle(root / f"{name}.npz", tmp_path / f"{name}.npz",
+                        downgrade)
+        handler = _Records()
+        logger = logging.getLogger("repro.core.feature_separation")
+        logger.addHandler(handler)
+        try:
+            loaded = load_artifact(tmp_path / f"{name}.npz").estimator
+        finally:
+            logger.removeHandler(handler)
+        sep = loaded.separator_
+        assert sep.warm_state_ is None
+        assert any("warm state" in r.getMessage() for r in handler.records)
+        np.testing.assert_array_equal(sep.variant_indices_,
+                                      original.separator_.variant_indices_)
+
+        # the bundle serves: same scores as the untouched bundle
+        scores = []
+        for where in (root, tmp_path):
+            executor = PlanCache(where, micro_batch_rows=64).get(name).executor
+            scores.append(executor.score([executor.check_request(X_test[:5])])[0])
+        np.testing.assert_array_equal(scores[1], scores[0])
+
+        # and its next rediscovery runs cold
+        X_few, *_ = tiny_5gc.few_shot_split(5, random_state=1)
+        Xs = loaded.scaler_.transform(tiny_5gc.X_source)
+        Xt = loaded.scaler_.transform(X_few)
+        refreshed = FeatureSeparator(sep.config).fit(Xs, Xt, warm=sep.warm_state_)
+        assert refreshed.cache_stats_["mode"] == "cold"
+        assert refreshed.cache_stats_["warm_hits"] == 0
+        cold = FeatureSeparator(sep.config).fit(Xs, Xt)
+        np.testing.assert_array_equal(refreshed.result_.variant_indices,
+                                      cold.result_.variant_indices)

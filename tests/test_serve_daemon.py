@@ -1,6 +1,8 @@
 """ServeDaemon lifecycle and the HTTP wire format."""
 
+import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -149,3 +151,50 @@ class TestHTTP:
         executor = cache.get(names[1]).executor
         expected = executor.score([executor.check_request(X_test[:6])])[0]
         np.testing.assert_array_equal(via_http, expected)
+
+    def test_labels_come_from_the_scoring_entry(self, tenant_root,
+                                                 monkeypatch):
+        root, names, X_test = tenant_root
+        calls = []
+        real_get = PlanCache.get
+
+        def counting_get(cache, tenant):
+            calls.append(tenant)
+            return real_get(cache, tenant)
+
+        monkeypatch.setattr(PlanCache, "get", counting_get)
+        with ServeDaemon(_config(root)) as daemon:
+            daemon.score(names[0], X_test[:3])
+            in_process = len(calls)
+            payload = _post(f"{daemon.url}/v1/score/{names[0]}",
+                            {"x": X_test[:3].tolist()})
+            via_http = len(calls) - in_process
+            classes = real_get(daemon.cache, names[0]).plan.model.classes_
+        assert via_http <= in_process
+        codes = np.argmax(np.asarray(payload["proba"]), axis=1)
+        assert payload["labels"] == classes[codes].tolist()
+
+    def test_keep_alive_round_trip_is_not_delayed(self, tenant_root):
+        root, names, X_test = tenant_root
+        body = json.dumps({"x": X_test[:1].tolist()})
+        headers = {"Content-Type": "application/json"}
+        with ServeDaemon(_config(root)) as daemon:
+            conn = http.client.HTTPConnection("127.0.0.1", daemon.http.port,
+                                              timeout=10)
+            try:
+                round_trips = []
+                for i in range(31):  # the first request loads the plan
+                    t0 = time.perf_counter()
+                    conn.request("POST", f"/v1/score/{names[0]}", body,
+                                 headers)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                    if i:
+                        round_trips.append(time.perf_counter() - t0)
+            finally:
+                conn.close()
+        # a response split over two sends with Nagle on waits ~40 ms for
+        # the client's delayed ACK
+        assert len(round_trips) == 30
+        assert float(np.median(round_trips)) < 0.025
