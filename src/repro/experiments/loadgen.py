@@ -280,8 +280,10 @@ def replay_capture(root, capture, *, micro_batch_rows: int,
     Loads every tenant fresh from ``root`` (restoring the artifact's
     saved RNG state, exactly like the daemon's first load) and replays
     each tenant's captured requests one at a time in ``seq`` order.  The
-    executor capacity must match the live run's ``micro_batch_rows`` —
-    padded execution is bit-stable only at a fixed capacity.  A return of
+    executor capacity and ``n_draws`` must match the live run's: they fix
+    the row counts a micro-batch can be padded to, which the executor's
+    row-stability probe proves (or falls back to full-capacity padding
+    for) at load.  A return of
     exactly ``0.0`` proves the micro-batched daemon results equal
     per-request scoring bit for bit.
     """

@@ -3,19 +3,28 @@
 Two pieces back the daemon's scoring plane:
 
 :class:`PaddedExecutor`
-    A fixed-capacity scorer wrapped around a compiled
-    :class:`~repro.serve.plan.InferencePlan`.  Every execution — a single
-    request or a coalesced micro-batch — runs the plan's stages at exactly
-    ``capacity`` rows (zero-padded, results sliced back per request), and
-    noise is drawn with one RNG call per request in admission order.  Both
-    choices exist for one reason: **bit-identity across coalescing
-    patterns**.  BLAS GEMM row results are *not* stable across batch sizes
-    (an M=1 call can differ from the same row inside an M=64 call in the
-    last ULP), but zero-padding to a fixed M is exact — a padded row can
-    never perturb another row through elementwise ops, row-broadcast
-    BatchNorm inference statistics, or row-wise matmuls.  Scoring requests
-    ``[A, B]`` coalesced is therefore bit-identical to scoring ``[A]``
-    then ``[B]``, whatever the sizes.
+    A bounded-capacity scorer wrapped around a compiled
+    :class:`~repro.serve.plan.InferencePlan`.  A micro-batch of ``m`` live
+    rows — a single request or a coalesced run of them — is zero-padded to
+    the next multiple of the executor's ``tile`` (at most ``capacity``),
+    every plan stage runs once at that row count (generator stages at
+    ``n_draws`` times it), and the results are sliced back per request.
+    Noise is drawn with one RNG call per request in admission order.
+
+    Both choices exist for one reason: **bit-identity across coalescing
+    patterns**.  Elementwise ops, row-broadcast BatchNorm inference
+    statistics and the row-wise softmax never mix rows, so the only place a
+    row could pick up a dependence on its batch is a BLAS GEMM — and there
+    it can: an M=1 call can differ from the same row inside an M=64 call in
+    the last ULP.  The executor therefore proves, once per layer shape and
+    process, that every ``Dense`` layer its plan runs gives each row the
+    same bits at every row count it can execute as inside a ``TILE_ROWS``
+    tile (:func:`tile_rows_stable`).  If that holds, ``tile`` is
+    ``TILE_ROWS`` and compute grows with live rows; if any shape fails,
+    ``tile`` is ``capacity`` and every execution runs at the full
+    capacity, where zero-padding to a fixed M is exact by construction.
+    Either way scoring requests ``[A, B]`` coalesced is bit-identical to
+    scoring ``[A]`` then ``[B]``, whatever the sizes.
 
 :class:`MicroBatcher`
     A thread-safe admission queue plus a single scorer thread.  Requests
@@ -36,26 +45,84 @@ from collections import deque
 
 import numpy as np
 
-from repro.gan.autoencoder import VanillaAutoencoder
-from repro.gan.cgan import ConditionalGAN
-from repro.gan.vae import ConditionalVAE
+from repro.nn.layers import Dense, Layer
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
 
-__all__ = ["MicroBatcher", "PaddedExecutor", "PendingRequest"]
+__all__ = ["MicroBatcher", "PaddedExecutor", "PendingRequest",
+           "tile_rows_stable"]
 
-#: default fixed row capacity of a padded execution
+#: default row capacity of a micro-batch (the coalescing bound)
 DEFAULT_CAPACITY = 256
+#: row granularity of a padded execution when the plan's GEMMs are
+#: tile-stable (see :func:`tile_rows_stable`)
+TILE_ROWS = 16
+
+#: per-process probe results: (in, out, dtype char, rows) -> row-stable
+_ROW_STABLE: dict[tuple, bool] = {}
+
+
+def tile_rows_stable(in_features: int, out_features: int, dtype,
+                     row_counts) -> bool:
+    """Whether an ``(in, out)`` GEMM gives every row its tile's bits.
+
+    For each ``M`` in ``row_counts`` the product ``A[:M] @ W`` of a fixed
+    random ``A`` and ``W`` must equal, bitwise, the same rows computed as
+    a stack of ``TILE_ROWS``-row products over the rows shifted by half a
+    tile.  The shift puts every row at another position among other tile
+    mates, so a pass shows a row's bits depend on neither its batch's row
+    count nor its place in the batch.  Results are memoized per process by
+    ``(in, out, dtype, M)``: reloading a plan of a known shape is free.
+    """
+    dtype = np.dtype(dtype)
+    todo = [int(rows) for rows in row_counts
+            if (in_features, out_features, dtype.char, int(rows))
+            not in _ROW_STABLE]
+    if todo:
+        tile, shift = TILE_ROWS, TILE_ROWS // 2
+        n_tiles = -(-(max(todo) + shift) // tile)
+        rng = np.random.default_rng(0)
+        W = rng.standard_normal((in_features, out_features)).astype(dtype)
+        shifted = np.zeros((n_tiles * tile, in_features), dtype)
+        shifted[shift:] = rng.standard_normal(
+            (n_tiles * tile - shift, in_features))
+        ref = np.empty((n_tiles * tile, out_features), dtype)
+        for i in range(0, n_tiles * tile, tile):
+            np.matmul(shifted[i:i + tile], W, out=ref[i:i + tile])
+        A = shifted[shift:]
+        for rows in todo:
+            full = np.matmul(A[:rows], W)
+            _ROW_STABLE[(in_features, out_features, dtype.char, rows)] = (
+                full.tobytes() == ref[shift:shift + rows].tobytes()
+            )
+    return all(_ROW_STABLE[(in_features, out_features, dtype.char, int(rows))]
+               for rows in row_counts)
+
+
+def _dense_layers(layer) -> list[Dense]:
+    """Every :class:`Dense` reachable from ``layer`` (nested containers too)."""
+    if isinstance(layer, Dense):
+        return [layer]
+    found = []
+    for value in vars(layer).values():
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        for item in items:
+            if isinstance(item, Layer):
+                found.extend(_dense_layers(item))
+    return found
 
 
 class PaddedExecutor:
-    """Fixed-capacity micro-batch scorer over a compiled plan.
+    """Tile-padded micro-batch scorer over a compiled plan.
 
-    Every :meth:`score` call runs the plan's stage chain at exactly
-    ``capacity`` rows (generator stages at ``n_draws * capacity``), so the
-    per-row results are a pure function of that row's input and its
+    Every :meth:`score` call runs the plan's stage chain once at
+    :meth:`padded_rows` rows (generator stages at ``n_draws`` times that),
+    so the per-row results are a pure function of that row's input and its
     request's noise draws — independent of how requests were coalesced.
+    ``capacity`` bounds the live rows of one micro-batch; ``tile`` is
+    ``TILE_ROWS`` when every GEMM of the plan passed the row-stability
+    probe at construction, else ``capacity``.
     """
 
     def __init__(self, plan, *, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -63,11 +130,39 @@ class PaddedExecutor:
             raise ValidationError("micro-batch capacity must be >= 1")
         self.plan = plan
         self.capacity = int(capacity)
+        self.tile = self.capacity
+        if self.capacity > TILE_ROWS and self._gemms_tile_stable():
+            self.tile = TILE_ROWS
         #: workspace view of the last execution's merged feature matrix
         #: (``last_rows`` live rows) — read by shadow scoring for per-feature
         #: divergence; valid until the next :meth:`score` call
         self.last_merged: np.ndarray | None = None
         self.last_rows = 0
+
+    def padded_rows(self, m: int) -> int:
+        """Rows executed for a micro-batch of ``m`` live rows."""
+        return min(self.capacity, -(-m // self.tile) * self.tile)
+
+    def _gemms_tile_stable(self) -> bool:
+        """Probe every Dense layer the plan runs at its executable rows."""
+        plan = self.plan
+        rows = sorted({min(self.capacity, k) for k in
+                       range(TILE_ROWS, self.capacity + TILE_ROWS, TILE_ROWS)})
+        network, code_dim = plan._recon_network()
+        layers = []  # (network, row counts it runs at)
+        if network is not None:
+            draws = plan.n_draws if code_dim else 1
+            layers.append((network, [draws * r for r in rows]))
+        network = getattr(plan.model, "network_", None)
+        if isinstance(network, Layer):
+            layers.append((network, rows))
+        for root, counts in layers:
+            for dense in _dense_layers(root):
+                W = dense.params["W"]
+                if not tile_rows_stable(W.shape[0], W.shape[1], W.dtype,
+                                        counts):
+                    return False
+        return True
 
     def check_request(self, X) -> np.ndarray:
         """Validate one request batch; returns a float64 C-order copy."""
@@ -87,6 +182,8 @@ class PaddedExecutor:
                 f"request of {X.shape[0]} rows exceeds the micro-batch "
                 f"capacity of {self.capacity}"
             )
+        if not np.isfinite(X).all():
+            raise ValidationError("request contains NaN or infinite values")
         return X
 
     def score(self, segments) -> list[np.ndarray]:
@@ -106,11 +203,10 @@ class PaddedExecutor:
             raise ValidationError(
                 f"micro-batch of {m} rows exceeds capacity {self.capacity}"
             )
-        capacity = self.capacity
-        ws = plan._ws
+        rows = self.padded_rows(m)
         with get_tracer().span("daemon.micro_batch", rows=m,
-                               requests=len(segments)):
-            Xp = ws.get("mb_x", (capacity, plan._n_features))
+                               padded_rows=rows, requests=len(segments)):
+            Xp = plan._ws.get("mb_x", (rows, plan._n_features))
             off = 0
             for seg, n in zip(segments, sizes):
                 Xp[off:off + n] = seg
@@ -120,7 +216,7 @@ class PaddedExecutor:
             if plan.drift_tracker is not None:
                 plan.drift_tracker.update(Xs[:m])
             X_inv = plan._split_stage(Xs)
-            X_var = self._reconstruct(X_inv, sizes, m)
+            X_var = plan._reconstruct_stage(X_inv, sizes, rows)
             merged = plan._merge_stage(X_inv, X_var)
             self.last_merged = merged
             self.last_rows = m
@@ -131,59 +227,6 @@ class PaddedExecutor:
             out.append(proba[off:off + n].copy())
             off += n
         return out
-
-    def _reconstruct(self, X_inv: np.ndarray, sizes: list[int],
-                     m: int) -> np.ndarray:
-        """Padded variant reconstruction with per-request noise draws."""
-        plan = self.plan
-        recon, ws, n_draws = plan._recon, plan._ws, plan.n_draws
-        capacity = self.capacity
-        if isinstance(recon, (ConditionalGAN, ConditionalVAE)):
-            code_dim = (recon.noise_dim if isinstance(recon, ConditionalGAN)
-                        else recon.latent_dim)
-            network = (recon.generator_ if isinstance(recon, ConditionalGAN)
-                       else recon.decoder_)
-            dt = getattr(recon, "_dtype", np.dtype(np.float64))
-            n_inv = plan._n_inv
-            g_in = ws.get("mb_g_in", (n_draws * capacity, n_inv + code_dim), dt)
-            z = ws.get("mb_z", (n_draws * capacity, code_dim), np.float64)
-            off = 0
-            for n in sizes:
-                g_off = n_draws * off
-                block = slice(g_off, g_off + n_draws * n)
-                # one draw per request, in admission order — the exact RNG
-                # consumption pattern of per-request scoring
-                plan._rng.standard_normal(out=z[block])
-                plan.rng_draws += z[block].size
-                for d in range(n_draws):
-                    g_in[g_off + d * n:g_off + (d + 1) * n, :n_inv] = (
-                        X_inv[off:off + n]
-                    )
-                g_in[block, n_inv:] = z[block]
-                off += n
-            g_in[n_draws * m:] = 0.0
-            out = network.forward(g_in, training=False)
-            var_hat = ws.zeros("mb_var", (capacity, plan._n_var))
-            off = 0
-            for n in sizes:
-                g_off = n_draws * off
-                draws = out[g_off:g_off + n_draws * n].reshape(
-                    n_draws, n, plan._n_var
-                )
-                total = var_hat[off:off + n]
-                # sequential accumulate, same add order as the plain plan
-                for d in range(n_draws):
-                    total += draws[d]
-                total /= n_draws
-                off += n
-            return var_hat
-        if isinstance(recon, VanillaAutoencoder):
-            out = recon.network_.forward(X_inv, training=False)
-            var_hat = ws.get("mb_var", (capacity, plan._n_var))
-            var_hat[...] = out
-            return var_hat
-        # identity reconstructor (empty variant block)
-        return ws.zeros("mb_var", (capacity, plan._n_var))
 
 
 class PendingRequest:
@@ -236,7 +279,7 @@ class MicroBatcher:
         and no other tenant has work queued, it waits up to this long for
         same-tenant arrivals to coalesce with.  0 disables lingering.
     coalesce:
-        False scores every request in its own (still padded) micro-batch —
+        False scores every request in its own (tile-padded) micro-batch —
         the daemon's per-request baseline mode, used by the sustained
         benchmark as the "before" side.
     """
@@ -351,7 +394,7 @@ class MicroBatcher:
                 if (len(self._order) == 0 and not queue and not self._stop
                         and self.max_wait > 0.0 and rows < capacity):
                     # idle linger: give same-tenant arrivals one chance to
-                    # coalesce before paying a full padded execution
+                    # coalesce before paying a padded execution
                     self._cond.wait(self.max_wait)
                     while queue and rows + queue[0].X.shape[0] <= capacity:
                         pending = queue.popleft()
@@ -394,6 +437,9 @@ class MicroBatcher:
             if registry.enabled:
                 registry.counter("daemon.batches_total").inc()
                 registry.histogram("daemon.batch_rows").observe(rows)
+                registry.histogram("daemon.batch_padded_rows").observe(
+                    entry.executor.padded_rows(rows)
+                )
                 registry.histogram("daemon.batch_requests").observe(len(batch))
                 registry.histogram("daemon.batch_seconds").observe(now - t0)
                 for pending in batch:

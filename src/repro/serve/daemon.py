@@ -3,7 +3,7 @@
 Ties the serving plane together: a :class:`~repro.serve.registry.PlanCache`
 (LRU of compiled tenant plans with sha256-validated hot reload) feeding a
 :class:`~repro.serve.batcher.MicroBatcher` (per-tenant FIFO coalescing into
-fixed-capacity padded micro-batches), optionally fronted by a
+tile-padded micro-batches), optionally fronted by a
 :class:`~repro.serve.server.DaemonHTTPServer` and a Prometheus exposition
 endpoint.  The daemon always runs under a live metrics registry (a private
 one is installed when the caller has none), so request/batch/queue
@@ -44,7 +44,7 @@ class DaemonConfig:
     #: HTTP port (0 = ephemeral); None disables the HTTP front entirely
     port: int | None = 0
     n_draws: int = 1
-    #: fixed padded capacity of every micro-batch (rows)
+    #: row capacity of every micro-batch (the coalescing bound)
     micro_batch_rows: int = DEFAULT_CAPACITY
     #: idle linger before scoring an uncoalesced request (seconds)
     max_wait: float = 0.002
@@ -309,7 +309,8 @@ class ServeDaemon:
         if registry.enabled:
             latency = {}
             for name in ("daemon.request_seconds", "daemon.queue_seconds",
-                         "daemon.batch_seconds", "daemon.batch_rows"):
+                         "daemon.batch_seconds", "daemon.batch_rows",
+                         "daemon.batch_padded_rows"):
                 hist = registry.histogram(name)
                 if hist.count:
                     summary = hist.summary()
@@ -341,13 +342,13 @@ def format_daemon_summary(stats: dict) -> str:
         label = name.removeprefix("daemon.")
         if name.endswith("_seconds"):
             lines.append(
-                f"  {label:<16} p50={1e3 * summary['p50']:8.3f} ms  "
+                f"  {label:<17} p50={1e3 * summary['p50']:8.3f} ms  "
                 f"p90={1e3 * summary['p90']:8.3f} ms  "
                 f"p99={1e3 * summary['p99']:8.3f} ms  (n={summary['count']})"
             )
         else:
             lines.append(
-                f"  {label:<16} p50={summary['p50']:8.1f}     "
+                f"  {label:<17} p50={summary['p50']:8.1f}     "
                 f"p90={summary['p90']:8.1f}     "
                 f"p99={summary['p99']:8.1f}     (n={summary['count']})"
             )

@@ -127,45 +127,72 @@ class InferencePlan:
         np.take(Xs, self._inv_idx, axis=1, out=inv)
         return inv
 
-    def _reconstruct_stage(self, X_inv: np.ndarray) -> np.ndarray:
-        recon, ws, n_draws = self._recon, self._ws, self.n_draws
-        n = X_inv.shape[0]
+    def _recon_network(self):
+        """``(network, code width)`` the reconstruction stage runs.
+
+        The code width is the noise/latent columns appended per draw (0:
+        no draws); the network is None for the identity reconstructor.
+        """
+        recon = self._recon
         if isinstance(recon, ConditionalGAN):
-            dt = getattr(recon, "_dtype", np.dtype(np.float64))
-            g_in = ws.get("g_in", (n_draws * n, self._n_inv + recon.noise_dim), dt)
-            z = ws.get("z", (n_draws * n, recon.noise_dim), np.float64)
-            self._rng.standard_normal(out=z)
-            self.rng_draws += z.size
-            inv_rows = g_in[:, : self._n_inv]
-            for d in range(n_draws):
-                inv_rows[d * n : (d + 1) * n] = X_inv
-            g_in[:, self._n_inv :] = z
-            out = recon.generator_.forward(g_in, training=False)
-        elif isinstance(recon, ConditionalVAE):
-            dt = getattr(recon, "_dtype", np.dtype(np.float64))
-            dec_in = ws.get("dec_in", (n_draws * n, self._n_inv + recon.latent_dim), dt)
-            z = ws.get("z", (n_draws * n, recon.latent_dim), np.float64)
-            self._rng.standard_normal(out=z)
-            self.rng_draws += z.size
-            inv_rows = dec_in[:, : self._n_inv]
-            for d in range(n_draws):
-                inv_rows[d * n : (d + 1) * n] = X_inv
-            dec_in[:, self._n_inv :] = z
-            out = recon.decoder_.forward(dec_in, training=False)
-        elif isinstance(recon, VanillaAutoencoder):
-            out = recon.network_.forward(X_inv, training=False)
-            var_hat = ws.get("var_hat", (n, self._n_var))
+            return recon.generator_, recon.noise_dim
+        if isinstance(recon, ConditionalVAE):
+            return recon.decoder_, recon.latent_dim
+        if isinstance(recon, VanillaAutoencoder):
+            return recon.network_, 0
+        return None, 0
+
+    def _reconstruct_stage(self, X_inv: np.ndarray, sizes,
+                           rows: int) -> np.ndarray:
+        """Variant block for ``rows`` rows whose leading rows are requests.
+
+        ``sizes`` are the row counts of the request segments stacked at the
+        top of ``X_inv``; the rows after them are padding.  Noise is drawn
+        per segment in list order — one ``n_draws * n`` block per request,
+        the exact RNG consumption of scoring the requests one by one — and
+        the padding rows get no draws.  The one-shot plan is the
+        one-segment, no-padding call.
+        """
+        ws, n_draws, n_var = self._ws, self.n_draws, self._n_var
+        network, code_dim = self._recon_network()
+        if code_dim:
+            dt = getattr(self._recon, "_dtype", np.dtype(np.float64))
+            n_inv = self._n_inv
+            g_in = ws.get("g_in", (n_draws * rows, n_inv + code_dim), dt)
+            z = ws.get("z", (n_draws * rows, code_dim), np.float64)
+            off = 0
+            for n in sizes:
+                block = slice(n_draws * off, n_draws * (off + n))
+                self._rng.standard_normal(out=z[block])
+                self.rng_draws += n_draws * n * code_dim
+                for d in range(n_draws):
+                    g_off = n_draws * off + d * n
+                    g_in[g_off:g_off + n, :n_inv] = X_inv[off:off + n]
+                g_in[block, n_inv:] = z[block]
+                off += n
+            g_in[n_draws * off:] = 0.0
+            out = network.forward(g_in, training=False)
+            var_hat = ws.zeros("var_hat", (rows, n_var))
+            off = 0
+            for n in sizes:
+                draws = out[n_draws * off:n_draws * (off + n)].reshape(
+                    n_draws, n, n_var
+                )
+                total = var_hat[off:off + n]
+                # sequential accumulate — same add order as
+                # ConditionalGAN.generate
+                for d in range(n_draws):
+                    total += draws[d]
+                total /= n_draws
+                off += n
+            return var_hat
+        if network is not None:  # autoencoder: deterministic, no draws
+            out = network.forward(X_inv, training=False)
+            var_hat = ws.get("var_hat", (rows, n_var))
             var_hat[...] = out
             return var_hat
-        else:  # identity reconstructor (empty variant block)
-            return ws.zeros("var_hat", (n, self._n_var))
-        draws = out.reshape(n_draws, n, self._n_var)
-        # sequential accumulate — same add order as ConditionalGAN.generate
-        total = ws.zeros("total", (n, self._n_var))
-        for d in range(n_draws):
-            total += draws[d]
-        total /= n_draws
-        return total
+        # identity reconstructor (empty variant block)
+        return ws.zeros("var_hat", (rows, n_var))
 
     def _merge_stage(self, X_inv: np.ndarray, X_var: np.ndarray) -> np.ndarray:
         merged = self._ws.get("merged", (X_inv.shape[0], self._n_features))
@@ -205,7 +232,7 @@ class InferencePlan:
             with tracer.span("serve.split"):
                 X_inv = self._split_stage(Xs)
             with tracer.span("serve.reconstruct", n_draws=self.n_draws):
-                X_var = self._reconstruct_stage(X_inv)
+                X_var = self._reconstruct_stage(X_inv, (len(X),), len(X))
             with tracer.span("serve.merge"):
                 return self._merge_stage(X_inv, X_var)
 
@@ -223,7 +250,7 @@ class InferencePlan:
         t2 = time.perf_counter()
         stage_seconds("serve.stage_seconds", stage="split").observe(t2 - t1)
         with tracer.span("serve.reconstruct", n_draws=self.n_draws):
-            X_var = self._reconstruct_stage(X_inv)
+            X_var = self._reconstruct_stage(X_inv, (len(X),), len(X))
         t3 = time.perf_counter()
         stage_seconds("serve.stage_seconds", stage="generate").observe(t3 - t2)
         with tracer.span("serve.merge"):
@@ -247,10 +274,9 @@ class InferencePlan:
             registry.histogram("serve.stage_seconds", stage="predict").observe(
                 now - t1
             )
-            registry.counter("serve_batches").inc()
-            registry.counter("serve_rows").inc(len(X))
+            registry.counter("serve.batches_total").inc()
+            registry.counter("serve.rows_total").inc(len(X))
             registry.histogram("serve.latency").observe(now - t0)
-            registry.histogram("serve_batch_seconds").observe(now - t0)
         return proba
 
     def predict(self, X) -> np.ndarray:

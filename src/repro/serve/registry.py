@@ -5,7 +5,7 @@ each, the paper's deployment shape — out of a directory of versioned
 ``.npz`` bundles (``<root>/<tenant>.npz``, the ``ArtifactStore`` layout).
 :class:`PlanCache` keeps at most ``capacity`` tenants hot: each entry is a
 loaded artifact compiled into an :class:`~repro.serve.plan.InferencePlan`
-wrapped in a fixed-capacity :class:`~repro.serve.batcher.PaddedExecutor`.
+wrapped in a tile-padded :class:`~repro.serve.batcher.PaddedExecutor`.
 
 Reload semantics:
 
@@ -102,7 +102,7 @@ class PlanCache:
     n_draws:
         Monte-Carlo draws per sample for every compiled plan.
     micro_batch_rows:
-        Fixed row capacity of each tenant's :class:`PaddedExecutor` (and
+        Row capacity of each tenant's :class:`PaddedExecutor` (and
         therefore the daemon's maximum micro-batch size).
     """
 
@@ -312,6 +312,7 @@ class PlanCache:
                     "loaded_at": entry.loaded_at,
                     "schema_version": entry.manifest.get("schema_version"),
                     "rng_draws": int(getattr(entry.plan, "rng_draws", 0)),
+                    "tile": entry.executor.tile,
                 }
                 for name, entry in self._entries.items()
             }

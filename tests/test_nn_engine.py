@@ -26,6 +26,7 @@ from repro.nn.layers import (
 from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam
 from repro.nn.reference import ReferenceAdam, ReferenceConditionalGAN
+from repro.nn.workspace import Workspace
 from repro.utils.errors import ValidationError
 
 
@@ -430,3 +431,33 @@ class TestEstimatorStateAfterFusion:
         np.testing.assert_array_equal(
             clone.generate(X_inv[:5], n_draws=1, random_state=0),
             gan.generate(X_inv[:5], n_draws=1, random_state=0))
+
+
+class TestWorkspaceRowKeying:
+    def test_fewer_rows_share_the_larger_buffer(self):
+        ws = Workspace()
+        big = ws.get("out", (32, 5))
+        small = ws.get("out", (7, 5))
+        assert small.shape == (7, 5)
+        assert np.shares_memory(small, big)
+        assert small.flags.c_contiguous
+        assert ws.get("out", (32, 5)) is big
+        assert len(ws) == 1
+
+    def test_more_rows_reallocate(self):
+        ws = Workspace()
+        small = ws.get("out", (8, 5))
+        big = ws.get("out", (40, 5))
+        assert big.shape == (40, 5)
+        assert not np.shares_memory(small, big)
+        assert np.shares_memory(ws.get("out", (8, 5)), big)
+
+    def test_trailing_shape_dtype_and_rank_key_apart(self):
+        ws = Workspace()
+        a = ws.get("x", (8, 5))
+        assert not np.shares_memory(ws.get("x", (8, 6)), a)
+        assert not np.shares_memory(ws.get("x", (8, 5), np.float32), a)
+        assert not np.shares_memory(ws.get("x", (5,)), a)
+        vec = ws.get("v", (6,))
+        assert ws.get("v", (4,)).shape == (4,)
+        assert ws.get("v", (6,)) is vec

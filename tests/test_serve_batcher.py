@@ -14,7 +14,10 @@ import pytest
 from repro.core import FSGANPipeline, ReconstructionConfig
 from repro.core.artifacts import save_artifact
 from repro.ml import MLPClassifier
+from repro.obs.trace import Tracer, use_tracer
 from repro.serve import MicroBatcher, PaddedExecutor, PlanCache
+from repro.serve import batcher as batcher_mod
+from repro.serve.batcher import DEFAULT_CAPACITY, TILE_ROWS
 from repro.utils.errors import ValidationError
 
 CAP = 64
@@ -25,9 +28,23 @@ def _segments(X_test, sizes):
     return [X_test[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _fresh_executor(root, name, n_draws=1):
-    cache = PlanCache(root, capacity=8, n_draws=n_draws, micro_batch_rows=CAP)
+def _fresh_executor(root, name, n_draws=1, rows=CAP):
+    cache = PlanCache(root, capacity=8, n_draws=n_draws, micro_batch_rows=rows)
     return cache.get(name).executor
+
+
+def _executed_rows(executor):
+    """Record the row count of every downstream predict the executor runs."""
+    seen = []
+    model = executor.plan.model
+    predict = model.predict_proba
+
+    def recording(X):
+        seen.append(X.shape[0])
+        return predict(X)
+
+    model.predict_proba = recording
+    return seen
 
 
 class TestPaddedExecutorEquivalence:
@@ -86,6 +103,103 @@ class TestPaddedExecutorEquivalence:
                 got, ex2.score([ex2.check_request(seg)])[0])
 
 
+class TestTilePadding:
+    def test_executed_rows_round_up_to_the_tile(self, tenant_root,
+                                                monkeypatch):
+        monkeypatch.setattr(batcher_mod, "tile_rows_stable",
+                            lambda *args: True)
+        root, names, X_test = tenant_root
+        executor = _fresh_executor(root, names[0])
+        assert executor.tile == TILE_ROWS
+        seen = _executed_rows(executor)
+        X = np.repeat(X_test, 2, axis=0)
+        for m in (1, TILE_ROWS, TILE_ROWS + 1, CAP):
+            executor.score([executor.check_request(X[:m])])
+            assert seen[-1] == -(-m // TILE_ROWS) * TILE_ROWS
+            assert executor.padded_rows(m) == seen[-1]
+
+    def test_span_tags_live_and_padded_rows(self, tenant_root):
+        root, names, X_test = tenant_root
+        executor = _fresh_executor(root, names[0])
+        tracer = Tracer()
+        with use_tracer(tracer):
+            executor.score([executor.check_request(X_test[:3])])
+        span = tracer.find("daemon.micro_batch")
+        assert span.tags["rows"] == 3
+        assert span.tags["padded_rows"] == executor.padded_rows(3)
+
+    def test_failed_probe_pads_to_capacity(self, tenant_root, monkeypatch):
+        monkeypatch.setattr(batcher_mod, "tile_rows_stable",
+                            lambda *args: False)
+        root, names, X_test = tenant_root
+        ex1 = _fresh_executor(root, names[0])
+        assert ex1.tile == CAP
+        seen = _executed_rows(ex1)
+        segments = _segments(X_test, (5, 1, 17, 3))
+        coalesced = ex1.score([ex1.check_request(s) for s in segments])
+        assert seen == [CAP]
+        ex2 = _fresh_executor(root, names[0])
+        for got, seg in zip(coalesced, segments):
+            np.testing.assert_array_equal(
+                got, ex2.score([ex2.check_request(seg)])[0])
+        assert ex2.padded_rows(1) == CAP
+
+    def test_small_capacity_skips_the_probe(self, tenant_root, monkeypatch):
+        def fail(*args):
+            raise AssertionError("probe must not run")
+
+        monkeypatch.setattr(batcher_mod, "tile_rows_stable", fail)
+        root, names, _ = tenant_root
+        executor = _fresh_executor(root, names[0], rows=TILE_ROWS)
+        assert executor.tile == TILE_ROWS
+        assert executor.padded_rows(1) == TILE_ROWS
+
+    def test_probe_memoizes_per_shape(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(batcher_mod, "_ROW_STABLE", memo)
+        batcher_mod.tile_rows_stable(7, 5, np.float64, [32, 48])
+        assert set(memo) == {(7, 5, "d", 32), (7, 5, "d", 48)}
+        # a known shape is answered from the memo, never probed again
+        memo[(7, 5, "d", 48)] = False
+        assert not batcher_mod.tile_rows_stable(7, 5, np.float64, [48])
+        memo.update({key: True for key in memo})
+        assert batcher_mod.tile_rows_stable(7, 5, np.float64, [32, 48])
+        assert len(memo) == 2
+
+    @pytest.mark.parametrize("n_draws", [1, 3])
+    def test_random_segmentations_at_default_capacity(self, tiny_5gc,
+                                                      tmp_path, n_draws):
+        # preset-width generator (128 hidden -> 11 variant columns): at
+        # n_draws=3 it runs up to 768 rows, where a BLAS build may not be
+        # row-stable, so this covers whichever tile the probe picks
+        X_few, _, X_test, _ = tiny_5gc.few_shot_split(10, random_state=0)
+        pipe = FSGANPipeline(
+            lambda: MLPClassifier(hidden_sizes=(64,), epochs=4,
+                                  random_state=0),
+            reconstruction_config=ReconstructionConfig(
+                strategy="gan", epochs=1, noise_dim=6, hidden_size=128),
+            random_state=0,
+        ).fit(tiny_5gc.X_source, tiny_5gc.y_source, X_few)
+        save_artifact(pipe, str(tmp_path / "t.npz"))
+        X = np.repeat(X_test, 2, axis=0)[:DEFAULT_CAPACITY]
+        ex1 = _fresh_executor(tmp_path, "t", n_draws, DEFAULT_CAPACITY)
+        ex2 = _fresh_executor(tmp_path, "t", n_draws, DEFAULT_CAPACITY)
+        gen = np.random.default_rng(n_draws)
+        for _ in range(40):
+            total = int(gen.integers(1, DEFAULT_CAPACITY + 1))
+            cuts = np.sort(gen.choice(np.arange(1, total),
+                                      size=min(total - 1,
+                                               int(gen.integers(0, 12))),
+                                      replace=False))
+            sizes = np.diff(np.concatenate([[0], cuts, [total]]))
+            segments = _segments(X, sizes)
+            coalesced = ex1.score([ex1.check_request(s) for s in segments])
+            for got, seg in zip(coalesced, segments):
+                np.testing.assert_array_equal(
+                    got, ex2.score([ex2.check_request(seg)])[0])
+        assert ex1.plan.rng_draws == ex2.plan.rng_draws
+
+
 class TestPaddedExecutorValidation:
     def test_rejects_wrong_width(self, tenant_root):
         root, names, X_test = tenant_root
@@ -106,6 +220,15 @@ class TestPaddedExecutorValidation:
         seg = executor.check_request(X_test[:CAP])
         with pytest.raises(ValidationError, match="capacity"):
             executor.score([seg, seg])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, tenant_root, bad):
+        root, names, X_test = tenant_root
+        executor = _fresh_executor(root, names[0])
+        X = X_test[:3].copy()
+        X[1, 2] = bad
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            executor.check_request(X)
 
     def test_one_dim_request_becomes_row(self, tenant_root):
         root, names, X_test = tenant_root
@@ -264,6 +387,27 @@ class TestMicroBatcher:
             p.result(10.0)
         batcher.stop()
         assert batcher.batches == len(pendings)
+
+    def test_non_finite_request_fails_alone_at_submit(self, tenant_root):
+        root, names, X_test = tenant_root
+        cache = PlanCache(root, capacity=8, micro_batch_rows=CAP)
+        batcher = MicroBatcher(cache, max_wait=0.0)
+        plan = cache.get(names[0]).plan
+        bad = X_test[:2].copy()
+        bad[0, 0] = np.nan
+        before = batcher.submit(names[0], X_test[:3])
+        with pytest.raises(ValidationError, match="NaN"):
+            batcher.submit(names[0], bad)
+        after = batcher.submit(names[0], X_test[3:5])
+        assert plan.rng_draws == 0
+        batcher.start()
+        results = [before.result(10.0), after.result(10.0)]
+        batcher.stop()
+        assert (before.seq, after.seq) == (0, 1)
+        fresh = _fresh_executor(root, names[0])
+        for pending, got in zip((before, after), results):
+            np.testing.assert_array_equal(
+                got, fresh.score([fresh.check_request(pending.X)])[0])
 
     def test_submit_after_stop_raises(self, tenant_root):
         root, names, X_test = tenant_root

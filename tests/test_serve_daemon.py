@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.serve import DaemonConfig, PlanCache, ServeDaemon
+from repro.serve.batcher import TILE_ROWS
 from repro.serve.daemon import format_daemon_summary
 from repro.utils.errors import ValidationError
 
@@ -62,6 +63,10 @@ class TestLifecycle:
         assert stats["batcher"]["rows"] == 3
         assert names[0] in stats["cache"]["loaded"]
         assert "daemon.request_seconds" in stats["latency"]
+        # executed rows beside live rows: 3 live rows pad to one tile
+        tile = stats["cache"]["loaded"][names[0]]["tile"]
+        assert tile in (TILE_ROWS, 64)
+        assert stats["latency"]["daemon.batch_padded_rows"]["max"] == tile
         assert daemon.stop() == {}
 
     def test_submit_when_stopped_raises(self, tenant_root):
